@@ -568,6 +568,66 @@ func BenchmarkPutLargeObject(b *testing.B) {
 	})
 }
 
+// cpuBenchObject is the object the zero-RTT engine benches move: 16 MiB,
+// four default-size stripes, on an m=4 placement over plain in-memory
+// BlobStore providers.
+const cpuBenchObject = 16 << 20
+
+// newCPUBenchEngine boots a broker over zero-latency providers with no
+// stripe cache and stores the bench object once, so both CPU benches
+// see only the data path's own work: hashing, erasure coding, copies
+// and allocation — the cost the RTT-sleeping Put/GetLargeObject benches
+// hide.
+func newCPUBenchEngine(b *testing.B) (*engine.Engine, []byte, engine.PutOptions) {
+	b.Helper()
+	payload := make([]byte, cpuBenchObject)
+	for i := range payload {
+		payload[i] = byte(i*31 + i>>12)
+	}
+	rule := core.Rule{Name: "bench", Durability: 0.99999, Availability: 0.9999, LockIn: 1}
+	opts := engine.PutOptions{Rule: &rule}
+	br := engine.NewBroker(engine.Config{})
+	b.Cleanup(br.Close)
+	e := br.Engine(0)
+	meta, err := e.PutReader(bgctx, "cpu", "blob", bytes.NewReader(payload), int64(len(payload)), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if meta.M != 4 || meta.StripeCount() != cpuBenchObject/engine.DefaultStripeBytes {
+		b.Fatalf("placement m=%d stripes=%d, want m=4 stripes=%d", meta.M, meta.StripeCount(), cpuBenchObject/engine.DefaultStripeBytes)
+	}
+	return e, payload, opts
+}
+
+// BenchmarkPutObjectCPU measures a streaming 16 MiB PUT with zero
+// provider latency: CPU-bound end to end.
+func BenchmarkPutObjectCPU(b *testing.B) {
+	e, payload, opts := newCPUBenchEngine(b)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.PutReader(bgctx, "cpu", "blob", bytes.NewReader(payload), int64(len(payload)), opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGetObjectCPU measures an uncached 16 MiB GET with zero
+// provider latency: every stripe is fetched, decoded and verified.
+func BenchmarkGetObjectCPU(b *testing.B) {
+	e, payload, _ := newCPUBenchEngine(b)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, _, err := e.Get(bgctx, "cpu", "blob")
+		if err != nil || len(got) != len(payload) {
+			b.Fatalf("get: %v (%d bytes)", err, len(got))
+		}
+	}
+}
+
 func BenchmarkBrokerPut(b *testing.B) {
 	br := engine.NewBroker(engine.Config{})
 	b.Cleanup(br.Close)

@@ -156,7 +156,7 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 		Stripes:     stripeCount(size, e.b.cfg.StripeBytes),
 		StripeBytes: e.b.cfg.StripeBytes,
 	}
-	if err := e.writeChunksStream(ctx, &meta, res.Placement, r); err != nil {
+	if err := e.writeChunksStream(ctx, &meta, res.Placement, r, false); err != nil {
 		return ObjectMeta{}, err
 	}
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"crypto/md5"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -19,9 +20,13 @@ type ObjectMeta struct {
 	Key       string `json:"key"`
 	MIME      string `json:"mime"`
 	Size      int64  `json:"size"`
-	Checksum  string `json:"checksum"` // MD5 of the object payload
-	RuleName  string `json:"policy"`
-	Class     string `json:"class"`
+	// Checksum is the object's ETag value (Fig. 11's checksum): the
+	// MD5 of the body for a single PUT, as S3 clients expect, or the
+	// S3 multipart composite md5(part digests)-N. Migration keeps it
+	// unchanged. Integrity checks use StripeSums, not this.
+	Checksum string `json:"checksum"`
+	RuleName string `json:"policy"`
+	Class    string `json:"class"`
 
 	SKey      string   `json:"skey"`      // MD5(container | key | UUID)
 	M         int      `json:"m"`         // erasure threshold
@@ -38,11 +43,12 @@ type ObjectMeta struct {
 	// keeps the legacy chunk-key layout.
 	Stripes     int   `json:"stripes,omitempty"`
 	StripeBytes int64 `json:"stripeBytes,omitempty"`
-	// StripeSums holds the MD5 of each stripe's payload, so the read
-	// path can verify every decoded stripe independently — before it
-	// enters the stripe cache, and on ranged reads that never see the
-	// whole object. Metadata written before stripe sums existed leaves
-	// this nil; such reads fall back to the whole-object Checksum.
+	// StripeSums holds the hex SHA-256 of each stripe's payload, so
+	// every decoded stripe is verified on its own — before it is served
+	// or enters the stripe cache, on ranged reads as on full ones, and
+	// before repair re-encodes it. Every write path records them; a
+	// version lacking the digest of a stripe it must decode is refused
+	// with ErrChecksum.
 	StripeSums []string `json:"stripeSums,omitempty"`
 	// PartStripes, set on objects assembled from a multipart upload,
 	// records how many stripes each part contributed (part 1 first; the
@@ -59,13 +65,25 @@ type ObjectMeta struct {
 // ETag-of-ETags checksum instead of a whole-body MD5.
 func (m ObjectMeta) Multipart() bool { return len(m.PartStripes) > 0 }
 
-// stripeSum returns the stored MD5 of stripe s, or "" when this
-// version's metadata predates per-stripe checksums.
+// stripeSum returns the stored SHA-256 of stripe s, or "" when the
+// metadata records none.
 func (m ObjectMeta) stripeSum(s int) string {
 	if s < 0 || s >= len(m.StripeSums) {
 		return ""
 	}
 	return m.StripeSums[s]
+}
+
+// verifyStripe checks stripe s's decoded payload against its stored
+// SHA-256. A missing digest fails closed: an unverifiable stripe is
+// never served, cached or re-encoded.
+func (m ObjectMeta) verifyStripe(s int, payload []byte) error {
+	want := m.stripeSum(s)
+	got := sha256.Sum256(payload)
+	if want == "" || hex.EncodeToString(got[:]) != want {
+		return fmt.Errorf("%w: stripe %d", ErrChecksum, s)
+	}
+	return nil
 }
 
 // StripeCount returns the number of stripes the object is stored as
@@ -160,12 +178,6 @@ func (m ObjectMeta) chunkKey(s, i int) string {
 		// metadata; fall through to the plain layout, which will miss.
 	}
 	return ChunkKeyAt(m.SKey, m.StripeCount(), s, i)
-}
-
-// Checksum computes the MD5 content checksum in Fig. 11's format.
-func Checksum(data []byte) string {
-	sum := md5.Sum(data)
-	return hex.EncodeToString(sum[:])
 }
 
 // NewUUID returns a random 128-bit identifier (RFC 4122 v4 layout).

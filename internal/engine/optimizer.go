@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -380,10 +381,15 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	newMeta.UUID = uuid
 	newMeta.SKey = StorageKey(meta.Container, meta.Key, uuid)
 	newMeta.M = to.M
-	if err := e.writeChunksStream(ctx, &newMeta, to, src); err != nil {
+	// The copy keeps the version's Checksum (a body MD5 or a multipart
+	// composite — the ETag clients hold) and skips re-hashing the body:
+	// the source stream verifies every stripe it decodes, and comparing
+	// the rewritten stripe digests with the stored ones checks the copy
+	// end to end, stripe by stripe.
+	if err := e.writeChunksStream(ctx, &newMeta, to, src, true); err != nil {
 		return fmt.Errorf("engine: migrate write: %w", err)
 	}
-	if newMeta.Checksum != meta.Checksum {
+	if !slices.Equal(newMeta.StripeSums, meta.StripeSums) {
 		e.deleteChunks(newMeta)
 		return fmt.Errorf("engine: migrate: %w", ErrChecksum)
 	}

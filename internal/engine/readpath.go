@@ -2,11 +2,8 @@ package engine
 
 import (
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"sort"
 	"sync"
@@ -27,8 +24,9 @@ import (
 //  2. a bounded worker pool that fetches the stripe's m cheapest
 //     chunks concurrently (first m successes win), falling back along
 //     the ranked provider order when a fetch fails mid-read;
-//  3. erasure decode, after which the stripe is written back to the
-//     cache (user-facing reads only).
+//  3. erasure decode and a SHA-256 check against the stripe's stored
+//     digest, after which the stripe is written back to the cache
+//     (user-facing reads only).
 //
 // Independently, the stream is pipelined: while stripe s drains to the
 // client, a prefetcher works ahead on stripes s+1..s+k
@@ -68,14 +66,6 @@ type objectReader struct {
 
 	start, end int // inclusive stripe range
 
-	// sum accumulates the whole-object checksum; hashAll stays true
-	// only while every stripe so far was hashed in order, which makes
-	// the final comparison meaningful. A stripe served from the cache
-	// breaks the chain (cache entries are trusted: they were decoded by
-	// a verified read and are invalidated on writes).
-	sum     hash.Hash
-	hashAll bool
-
 	pipe chan stripeOut // prefetch pipeline; nil = unpipelined
 	next int            // next stripe to load (unpipelined mode)
 
@@ -86,22 +76,13 @@ type objectReader struct {
 	err     error  // sticky terminal state (io.EOF after full drain)
 }
 
-// stripeOut is one prefetched stripe (or the error that ended the
+// stripeOut is one produced stripe (or the error that ended the
 // pipeline). slot marks a stripe holding one slot of the broker-wide
 // read-buffer budget; whoever drops the stripe must release it.
 type stripeOut struct {
 	data []byte
 	slot bool
 	err  error
-}
-
-// prodOut is one produced (fetched-or-cached, decoded) stripe before
-// in-order finalization.
-type prodOut struct {
-	data   []byte
-	cached bool
-	slot   bool
-	err    error
 }
 
 // openObjectReader builds the full-object stripe stream; see
@@ -133,15 +114,9 @@ func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, start, en
 		cacheID: stripeCacheID(objectName(meta.Container, meta.Key), meta.UUID),
 		order:   order, rankErr: rankErr, coder: coder,
 		userRead: userRead, start: start, end: end,
-		// The whole-object hash chain only pays off when the final
-		// comparison can run, i.e. the stream covers every stripe.
-		// Multipart versions opt out: their Checksum is an ETag-of-ETags
-		// composite, not a body MD5 (per-stripe sums still verify every
-		// fetched stripe).
-		sum: md5.New(), hashAll: start == 0 && end == meta.StripeCount()-1 && !meta.Multipart(),
 		next: start + 1,
 	}
-	first, slot, err := or.loadStripe(start)
+	first, slot, err := or.produceStripe(start, false)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -200,9 +175,8 @@ func (e *Engine) rankChunks(meta ObjectMeta, skip map[int]bool) ([]int, error) {
 }
 
 // prefetch is the pipeline producer: it dispatches up to cap(pipe)
-// concurrent stripe loads for stripes [from, end], finalizes them in
-// stripe order (checksum chain, ErrChecksum on the last stripe) and
-// hands them to the consuming Read. Fetch latency and decode cost of
+// concurrent stripe loads for stripes [from, end] and hands them to
+// the consuming Read in stripe order. Fetch latency and decode cost of
 // neighbouring stripes overlap; delivery order never changes. It exits
 // — without blocking — when the stream context is cancelled or a
 // stripe fails.
@@ -210,7 +184,7 @@ func (or *objectReader) prefetch(from int) {
 	depth := cap(or.pipe)
 	type pending struct {
 		s  int
-		ch chan prodOut
+		ch chan stripeOut
 	}
 	sem := make(chan struct{}, depth)    // bounds in-flight stripe loads
 	queue := make(chan pending, depth+1) // preserves stripe order
@@ -245,7 +219,7 @@ func (or *objectReader) prefetch(from int) {
 				<-sem
 				return
 			}
-			p := pending{s: s, ch: make(chan prodOut, 1)}
+			p := pending{s: s, ch: make(chan stripeOut, 1)}
 			select {
 			case queue <- p:
 			case <-or.ctx.Done():
@@ -255,30 +229,22 @@ func (or *objectReader) prefetch(from int) {
 			}
 			go func(p pending) {
 				defer func() { <-sem }()
-				data, cached, slot, err := or.produceStripe(p.s, true)
-				p.ch <- prodOut{data: data, cached: cached, slot: slot, err: err}
+				data, slot, err := or.produceStripe(p.s, true)
+				p.ch <- stripeOut{data: data, slot: slot, err: err}
 			}(p)
 		}
 	}()
 	for p := range queue {
 		out := <-p.ch
-		data, slot, err := out.data, out.slot, out.err
-		if err == nil {
-			data, err = or.finalizeStripe(p.s, data, out.cached)
-		}
-		if err != nil && slot {
-			or.e.b.releaseReadBuf()
-			slot = false
-		}
 		select {
-		case or.pipe <- stripeOut{data: data, slot: slot, err: err}:
+		case or.pipe <- out:
 		case <-or.ctx.Done():
-			if slot {
+			if out.slot {
 				or.e.b.releaseReadBuf()
 			}
 			return
 		}
-		if err != nil {
+		if out.err != nil {
 			// Unblock the dispatcher and in-flight loads; the consumer
 			// already holds the error.
 			or.cancel()
@@ -288,37 +254,20 @@ func (or *objectReader) prefetch(from int) {
 	}
 }
 
-// loadStripe produces and finalizes one stripe — the unpipelined path
-// (the eager open fetch and sequential-mode Reads call it in stripe
-// order). slot reports whether the stripe holds a read-budget slot the
-// caller must release once the bytes drain.
-func (or *objectReader) loadStripe(s int) (data []byte, slot bool, err error) {
-	data, cached, slot, err := or.produceStripe(s, false)
-	if err != nil {
-		return nil, false, err
-	}
-	data, err = or.finalizeStripe(s, data, cached)
-	if err != nil {
-		if slot {
-			or.e.b.releaseReadBuf()
-		}
-		return nil, false, err
-	}
-	return data, slot, nil
-}
-
 // produceStripe yields one decoded stripe: stripe cache first, then the
-// parallel chunk fan-out. Only fully decoded stripes are ever written
-// back to the cache, so a read torn down mid-fetch cannot poison it
-// with a partial entry. Safe for concurrent use across different
-// stripes — the pipeline overlaps neighbouring stripe loads.
+// parallel chunk fan-out. Only fully decoded, verified stripes are
+// ever written back to the cache, so a read torn down mid-fetch or
+// served rotted chunks cannot poison it. Safe for concurrent use
+// across different stripes — the pipeline overlaps neighbouring stripe
+// loads; the unpipelined path (the eager open fetch, sequential-mode
+// Reads) calls it in stripe order.
 //
 // slotHeld says the caller (the pipeline dispatcher) already reserved a
 // read-budget slot for this stripe; otherwise one is acquired here
 // before the provider fetch. A cache hit or failure hands the slot
 // back; on success the returned slot=true travels with the data, to be
 // released once the bytes drain.
-func (or *objectReader) produceStripe(s int, slotHeld bool) (data []byte, cached, slot bool, err error) {
+func (or *objectReader) produceStripe(s int, slotHeld bool) (data []byte, slot bool, err error) {
 	e := or.e
 	release := func() {
 		if slotHeld {
@@ -328,92 +277,55 @@ func (or *objectReader) produceStripe(s int, slotHeld bool) (data []byte, cached
 	}
 	if err := or.ctx.Err(); err != nil {
 		release()
-		return nil, false, false, err
+		return nil, false, err
 	}
-	data, cached = e.b.caches.GetStripe(e.dc, or.cacheID, s)
+	// A stripe without a stored digest can never be verified: refuse
+	// it before a byte is fetched, served or cached.
+	if or.meta.stripeSum(s) == "" {
+		release()
+		return nil, false, fmt.Errorf("%w: stripe %d has no stored digest", ErrChecksum, s)
+	}
+	data, cached := e.b.caches.GetStripe(e.dc, or.cacheID, s)
 	if cached {
 		// Cache hits do not consume the budget: their memory is the
 		// cache's, capped by its own capacity.
 		release()
 		e.b.metrics.readCached.Inc()
 		obs.TraceFrom(or.ctx).Count("stripes_cached", 1)
-		return data, true, false, nil
+		return data, false, nil
 	}
 	if or.rankErr != nil {
 		release()
-		return nil, false, false, or.rankErr
+		return nil, false, or.rankErr
 	}
 	if !slotHeld {
 		if err := e.b.acquireReadBuf(or.ctx); err != nil {
-			return nil, false, false, err
+			return nil, false, err
 		}
 		slotHeld = true
 	}
 	data, err = or.fetchStripe(s)
 	if err != nil {
 		release()
-		return nil, false, false, err
+		return nil, false, err
 	}
-	// Verify the decoded stripe against its stored checksum BEFORE it
-	// can enter the cache: a provider serving rotted chunk bytes must
-	// fail the read, not poison the stripe cache. Metadata predating
-	// per-stripe sums skips this; the whole-object chain in
-	// finalizeStripe still catches corruption on full reads.
-	verified := false
-	if want := or.meta.stripeSum(s); want != "" {
-		got := md5.Sum(data)
-		if hex.EncodeToString(got[:]) != want {
-			release()
-			return nil, false, false, fmt.Errorf("%w: stripe %d", ErrChecksum, s)
-		}
-		verified = true
+	// Verify the decoded stripe BEFORE it is served or can enter the
+	// cache: a provider serving rotted chunk bytes must fail the read,
+	// not poison the stripe cache.
+	if err := or.meta.verifyStripe(s, data); err != nil {
+		release()
+		return nil, false, err
 	}
 	e.b.metrics.readFetched.Inc()
 	obs.TraceFrom(or.ctx).Count("stripes_fetched", 1)
-	// Only stripes the per-stripe checksum vouched for may enter the
-	// cache. Legacy metadata without stripe sums is never cached: its
-	// whole-object chain runs too late (and only on unmixed full
-	// reads) to keep an unverified stripe out, and since metadata
-	// lives in process memory such versions exist only until rewritten
-	// — losing their cacheability costs nothing.
-	if or.userRead && verified {
+	if or.userRead {
 		e.b.caches.PutStripe(e.dc, or.cacheID, s, data)
 	}
-	return data, false, true, nil
+	return data, true, nil
 }
 
 // stripeCacheID builds the stripe-cache identity of one object version.
 func stripeCacheID(obj, uuid string) string { return obj + "\x00" + uuid }
-
-// finalizeStripe runs the in-order tail of stripe production: the
-// whole-object checksum chain. It must be called in stripe order from
-// one goroutine at a time (the open path, then either the pipeline's
-// ordered stage or the consuming Read).
-func (or *objectReader) finalizeStripe(s int, data []byte, cached bool) ([]byte, error) {
-	if cached {
-		or.hashAll = false
-	} else if or.hashAll {
-		or.sum.Write(data)
-	}
-	if or.hashAll && s == or.meta.StripeCount()-1 && or.fullObject() &&
-		hex.EncodeToString(or.sum.Sum(nil)) != or.meta.Checksum {
-		// Do not hand the condemned stripe to the caller: a Read retried
-		// after ErrChecksum must not serve corrupted bytes. The stripes
-		// this stream already cached are condemned with it — without
-		// per-stripe sums (legacy metadata) there is no telling which
-		// one is corrupt, and a poisoned cache would serve the
-		// corruption silently on the next read.
-		or.e.b.caches.InvalidateAll(or.cacheID)
-		return nil, ErrChecksum
-	}
-	return data, nil
-}
-
-// fullObject reports whether the stream covers every stripe, which is
-// when the whole-object checksum can be verified.
-func (or *objectReader) fullObject() bool {
-	return or.start == 0 && or.end == or.meta.StripeCount()-1
-}
 
 // fetchStripe retrieves one stripe's chunks from the providers and
 // decodes it, over the shared ranked fan-out pool. Both halves are
@@ -561,7 +473,7 @@ func (or *objectReader) Read(p []byte) (int, error) {
 				or.finish()
 				return 0, io.EOF
 			}
-			data, slot, err := or.loadStripe(or.next)
+			data, slot, err := or.produceStripe(or.next, false)
 			if err != nil {
 				or.err = err
 				return 0, err

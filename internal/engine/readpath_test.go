@@ -411,10 +411,11 @@ func TestCorruptStripeNeverEntersCache(t *testing.T) {
 	}
 }
 
-// TestLegacyMetaChecksumFallback: metadata written before per-stripe
-// sums existed (StripeSums nil) still fails corrupt full reads via the
-// whole-object chain, and the failing stream purges what it cached.
-func TestLegacyMetaChecksumFallback(t *testing.T) {
+// TestMetaWithoutStripeSumsRefused: a version whose metadata records no
+// per-stripe digests cannot be verified, so it is refused fail-closed —
+// full and ranged reads both fail with ErrChecksum at open, before a
+// byte is fetched, served or cached.
+func TestMetaWithoutStripeSumsRefused(t *testing.T) {
 	b := newTestBroker(t, Config{StripeBytes: 1024, CacheBytes: 1 << 20})
 	e := b.Engine(0)
 	payload := testPayload(4 * 1024)
@@ -422,37 +423,37 @@ func TestLegacyMetaChecksumFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the stored metadata without stripe sums, as a pre-PR-4
-	// version would have recorded it.
-	legacy := meta
-	legacy.StripeSums = nil
-	v, err := encodeMeta(legacy, b.Clock().Timestamp())
+	bare := meta
+	bare.StripeSums = nil
+	v, err := encodeMeta(bare, b.Clock().Timestamp())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Metadata().Put(e.Datacenter(), RowKey("c", "k"), v); err != nil {
 		t.Fatal(err)
 	}
-	// A healthy legacy read passes the whole-object chain but fills no
-	// cache: without per-stripe sums there is no checksum that could
-	// vouch for an individual cached stripe.
-	got, _, err := e.Get(ctx, "c", "k")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("healthy legacy read: %v", err)
+	opsBefore := b.Registry().TotalUsage().Ops
+
+	if _, _, err := e.Get(ctx, "c", "k"); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("full read = %v, want ErrChecksum", err)
+	}
+	if rc, _, err := e.GetReader(ctx, "c", "k"); !errors.Is(err, ErrChecksum) {
+		if err == nil {
+			rc.Close()
+		}
+		t.Fatalf("full stream open = %v, want ErrChecksum", err)
+	}
+	if rc, _, err := e.GetRangeReader(ctx, "c", "k", 2*1024+10, 100); !errors.Is(err, ErrChecksum) {
+		if err == nil {
+			rc.Close()
+		}
+		t.Fatalf("ranged read = %v, want ErrChecksum", err)
+	}
+	if ops := b.Registry().TotalUsage().Ops; ops != opsBefore {
+		t.Fatalf("refused reads hit providers: ops %d -> %d", opsBefore, ops)
 	}
 	if c := b.Caches().Datacenter(e.Datacenter()); c != nil && c.Len() != 0 {
-		t.Fatalf("legacy read cached %d unverifiable stripes", c.Len())
-	}
-	corruptStripe(t, b, meta, 2)
-
-	for i := 0; i < 2; i++ {
-		if _, _, err := e.Get(ctx, "c", "k"); !errors.Is(err, ErrChecksum) {
-			t.Fatalf("legacy read %d of corrupt object = %v, want ErrChecksum", i, err)
-		}
-		// The condemned stream's cache fills must have been purged.
-		if c := b.Caches().Datacenter(e.Datacenter()); c != nil && c.Len() != 0 {
-			t.Fatalf("read %d left %d condemned stripes cached", i, c.Len())
-		}
+		t.Fatalf("refused reads cached %d stripes", c.Len())
 	}
 }
 

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -352,7 +350,7 @@ func restripeWritten(meta ObjectMeta, to core.Placement) (chunks int, bytes int6
 // fetches m surviving chunks, reconstructs only the missing ones and
 // writes them to the plan's replacement providers; then the metadata is
 // updated in place under the row lock. The object version's identity
-// (UUID, storage key, per-stripe MD5s) is preserved — chunk keys and
+// (UUID, storage key, per-stripe digests) is preserved — chunk keys and
 // cached stripes stay valid, and only the MVCC version advances — so
 // concurrent readers are never cut off: pre-commit readers fall back
 // from the dead provider to the survivors, post-commit readers find the
@@ -503,7 +501,7 @@ func (e *Engine) commitSwap(meta ObjectMeta, plan core.RepairPlan, stripes int) 
 
 // repairStripe repairs one stripe: fetch m surviving chunks, let the
 // erasure coder reconstruct the missing slots, verify the stripe
-// payload against its stored MD5 (a surviving provider serving rotted
+// payload against its stored SHA-256 (a surviving provider serving rotted
 // bytes must fail the repair, not propagate the rot into the
 // replacement chunks), and write the replacement chunks to their
 // targets. Returns the bytes written.
@@ -517,11 +515,8 @@ func (e *Engine) repairStripe(ctx context.Context, meta ObjectMeta, plan core.Re
 	if err != nil {
 		return 0, err
 	}
-	if want := meta.stripeSum(s); want != "" {
-		got := md5.Sum(payload)
-		if hex.EncodeToString(got[:]) != want {
-			return 0, fmt.Errorf("%w: stripe %d during swap repair", ErrChecksum, s)
-		}
+	if err := meta.verifyStripe(s, payload); err != nil {
+		return 0, fmt.Errorf("%w during swap repair", err)
 	}
 	if err := e.writeSwapChunks(ctx, meta, s, chunks, plan.Replaced, targets); err != nil {
 		return 0, err
@@ -640,11 +635,8 @@ func (e *Engine) prepareSwap(ctx context.Context, meta ObjectMeta, plan core.Rep
 	if err != nil {
 		return nil, err
 	}
-	if want := meta.stripeSum(0); want != "" {
-		got := md5.Sum(payload)
-		if hex.EncodeToString(got[:]) != want {
-			return nil, fmt.Errorf("%w: stripe 0 during swap repair", ErrChecksum)
-		}
+	if err := meta.verifyStripe(0, payload); err != nil {
+		return nil, fmt.Errorf("%w during swap repair", err)
 	}
 	ps := &pendingSwap{
 		obj:  objectName(meta.Container, meta.Key),

@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"crypto/md5"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"sync"
 	"time"
@@ -21,9 +23,10 @@ import (
 //
 // A write of stripe s goes through three layers:
 //
-//  1. the producer reads the stripe payload off the body, folds it into
-//     the object and per-stripe checksums, and erasure-codes it into n
-//     chunks (scratch drawn from the erasure pool);
+//  1. the producer reads the stripe payload off the body, computes the
+//     stripe's SHA-256 and erasure-codes it into n chunks (scratch drawn
+//     from the erasure pool) while a helper goroutine folds the same
+//     bytes into the object MD5 (the S3 ETag);
 //  2. a bounded set of fan-out workers writes the n chunks of up to
 //     Config.WritePipelineDepth stripes to their providers
 //     concurrently, so provider round-trips of neighbouring stripes
@@ -56,6 +59,10 @@ type stripeWritePlan struct {
 	stripes   int
 	stripeLen func(s int) int64
 	key       func(s, i int) string
+	// skipObjectSum skips the whole-body MD5: migration rewrites a
+	// version whose Checksum (ETag) it keeps, and checks the copy
+	// against the per-stripe digests instead.
+	skipObjectSum bool
 }
 
 // resolvePlacement materializes a placement's provider backends and an
@@ -80,11 +87,12 @@ func (e *Engine) resolvePlacement(p core.Placement) (*erasure.Coder, []cloud.Bac
 
 // writeChunksStream reads the body stripe by stripe, erasure-codes each
 // stripe with (m, n) from the placement, and streams the chunks to the
-// providers through the write pipeline. The object's checksum and per-
-// stripe sums are computed as the body streams through and stored into
-// meta. On any failure — including ctx cancellation mid-fan-out —
-// every chunk already written is rolled back.
-func (e *Engine) writeChunksStream(ctx context.Context, meta *ObjectMeta, p core.Placement, r io.Reader) error {
+// providers through the write pipeline. The per-stripe digests — and,
+// unless skipObjectSum, the body MD5 as the object's Checksum — are
+// computed as the body streams through and stored into meta. On any
+// failure — including ctx cancellation mid-fan-out — every chunk
+// already written is rolled back.
+func (e *Engine) writeChunksStream(ctx context.Context, meta *ObjectMeta, p core.Placement, r io.Reader, skipObjectSum bool) error {
 	coder, stores, names, err := e.resolvePlacement(p)
 	if err != nil {
 		return err
@@ -93,11 +101,15 @@ func (e *Engine) writeChunksStream(ctx context.Context, meta *ObjectMeta, p core
 	sum, stripeSums, err := e.writeStripes(ctx, stripeWritePlan{
 		coder: coder, stores: stores, names: names,
 		stripes: meta.StripeCount(), stripeLen: meta.stripeLen, key: meta.chunkKey,
+		skipObjectSum: skipObjectSum,
 	}, r)
 	if err != nil {
 		return err
 	}
-	meta.Checksum, meta.StripeSums = sum, stripeSums
+	if !skipObjectSum {
+		meta.Checksum = sum
+	}
+	meta.StripeSums = stripeSums
 	return nil
 }
 
@@ -110,9 +122,9 @@ type stripeJob struct {
 }
 
 // writeStripes streams r through the write pipeline under plan,
-// returning the payload's MD5 and per-stripe MD5s. All chunks already
-// written are rolled back on error, so the providers never keep a
-// partial write.
+// returning the payload's MD5 ("" under plan.skipObjectSum) and the
+// per-stripe SHA-256 digests. All chunks already written are rolled
+// back on error, so the providers never keep a partial write.
 func (e *Engine) writeStripes(ctx context.Context, plan stripeWritePlan, r io.Reader) (string, []string, error) {
 	if depth := e.b.cfg.WritePipelineDepth; depth > 0 && plan.stripes > 1 {
 		return e.writeStripesPipelined(ctx, plan, r, depth)
@@ -154,7 +166,7 @@ func (e *Engine) writeStripesSequential(ctx context.Context, plan stripeWritePla
 		e.b.observeStage(tr, "fanout", fanoutStart)
 	}
 	e.b.metrics.writeStripes.Add(int64(plan.stripes))
-	return hex.EncodeToString(objSum.Sum(nil)), sums, nil
+	return objectSumHex(plan, objSum), sums, nil
 }
 
 // writeStripesPipelined overlaps reading/encoding of stripe s+1..s+depth
@@ -240,14 +252,26 @@ func (e *Engine) writeStripesPipelined(ctx context.Context, plan stripeWritePlan
 		return "", nil, err
 	}
 	e.b.metrics.writeStripes.Add(int64(plan.stripes))
-	return hex.EncodeToString(objSum.Sum(nil)), sums, nil
+	return objectSumHex(plan, objSum), sums, nil
+}
+
+// objectSumHex renders the body MD5 writeStripes returns.
+func objectSumHex(plan stripeWritePlan, objSum hash.Hash) string {
+	if plan.skipObjectSum {
+		return ""
+	}
+	return hex.EncodeToString(objSum.Sum(nil))
 }
 
 // produceWriteStripe reads stripe s's payload from r (into *payload,
-// grown as needed and reused across stripes), folds it into the object
-// and per-stripe checksums, and erasure-codes it with pooled scratch.
-// The returned chunks must be handed back via erasure.ReleaseChunks
-// once their fan-out completes.
+// grown as needed and reused across stripes), records its SHA-256 in
+// sums[s], and erasure-codes it with pooled scratch. Unless
+// plan.skipObjectSum, the payload is folded into objSum on a helper
+// goroutine that overlaps the digest and the encode; it reads buf
+// only, as they do, and is waited for before any return, so the
+// caller may reuse *payload as soon as this returns. The returned
+// chunks must be handed back via erasure.ReleaseChunks once their
+// fan-out completes.
 func (e *Engine) produceWriteStripe(tr *obs.Trace, plan stripeWritePlan, s int, r io.Reader, payload *[]byte, objSum io.Writer, sums []string) ([][]byte, error) {
 	plen := plan.stripeLen(s)
 	buf := *payload
@@ -265,8 +289,15 @@ func (e *Engine) produceWriteStripe(tr *obs.Trace, plan stripeWritePlan, s int, 
 		}
 		return nil, fmt.Errorf("engine: object body read: %w", err)
 	}
-	objSum.Write(buf) //nolint:errcheck
-	stripeSum := md5.Sum(buf)
+	if !plan.skipObjectSum {
+		done := make(chan struct{})
+		go func() {
+			objSum.Write(buf) //nolint:errcheck
+			close(done)
+		}()
+		defer func() { <-done }()
+	}
+	stripeSum := sha256.Sum256(buf)
 	sums[s] = hex.EncodeToString(stripeSum[:])
 	encodeStart := time.Now()
 	chunks, err := plan.coder.EncodePooled(buf)

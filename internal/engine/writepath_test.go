@@ -219,3 +219,107 @@ func TestConcurrentPutGetRepair(t *testing.T) {
 		t.Fatalf("final read: %v (%d bytes)", err, len(data))
 	}
 }
+
+// TestPutETagIsBodyMD5 pins the single-PUT ETag: meta.Checksum is the
+// MD5 of the body — hashed off the producer's critical path — at every
+// stripe boundary, in the sequential loop and the pipeline alike.
+func TestPutETagIsBodyMD5(t *testing.T) {
+	const stripe, k = 1024, 4
+	for _, mode := range []struct {
+		name  string
+		depth int // Config value: negative selects the sequential loop
+	}{{"sequential", -1}, {"pipelined", 2}} {
+		t.Run(mode.name, func(t *testing.T) {
+			b := newTestBroker(t, Config{StripeBytes: stripe, WritePipelineDepth: mode.depth})
+			e := b.Engine(0)
+			for _, size := range []int{0, 1, stripe, k * stripe, k*stripe + 1} {
+				body := testPayload(size)
+				meta, err := e.PutReader(ctx, "c", fmt.Sprint(size), bytes.NewReader(body), int64(size), PutOptions{})
+				if err != nil {
+					t.Fatalf("size %d: %v", size, err)
+				}
+				sum := md5.Sum(body)
+				if want := hex.EncodeToString(sum[:]); meta.Checksum != want || meta.ETag() != `"`+want+`"` {
+					t.Fatalf("size %d: checksum %q, want md5(body) %q", size, meta.Checksum, want)
+				}
+				if _, got, err := e.Get(ctx, "c", fmt.Sprint(size)); err != nil || got.Checksum != meta.Checksum {
+					t.Fatalf("size %d: stored checksum %q (%v), want %q", size, got.Checksum, err, meta.Checksum)
+				}
+			}
+		})
+	}
+}
+
+// retainingReader serves a body of n bytes and keeps every buffer the
+// write path hands to Read — the pipeline's own stripe buffer — so a
+// test can scribble over them after PutReader returns. Under -race, a
+// hashing goroutine still reading a buffer then is reported. After
+// failAt bytes it either cancels (cancel set) or fails with errBody.
+type retainingReader struct {
+	n, failAt, read int
+	cancel          context.CancelFunc
+	bufs            [][]byte
+}
+
+var errBody = errors.New("body torn mid-stripe")
+
+func (r *retainingReader) Read(p []byte) (int, error) {
+	if r.read >= r.failAt {
+		if r.cancel == nil {
+			return 0, errBody
+		}
+		r.cancel()
+	}
+	if left := r.n - r.read; len(p) > left {
+		p = p[:left]
+	}
+	if len(p) > 512 { // keep each read inside one stripe's buffer
+		p = p[:512]
+	}
+	r.bufs = append(r.bufs, p)
+	r.read += len(p)
+	return len(p), nil
+}
+
+// TestPutFailureWaitsForObjectHash: a PUT whose body errors, or whose
+// context is cancelled, mid-stripe returns only once no object-MD5
+// goroutine still reads its stripe buffers (checked under -race by
+// overwriting them), and rolls every written chunk back.
+func TestPutFailureWaitsForObjectHash(t *testing.T) {
+	const stripe = 1024
+	for _, mode := range []struct {
+		name  string
+		depth int
+	}{{"sequential", -1}, {"pipelined", 2}} {
+		for _, cancelled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/cancel=%v", mode.name, cancelled), func(t *testing.T) {
+				b := newTestBroker(t, Config{StripeBytes: stripe, WritePipelineDepth: mode.depth})
+				e := b.Engine(0)
+				cctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				src := &retainingReader{n: 8 * stripe, failAt: 2*stripe + 512}
+				want := errBody
+				if cancelled {
+					src.cancel, want = cancel, context.Canceled
+				}
+				_, err := e.PutReader(cctx, "c", "k", src, int64(src.n), PutOptions{})
+				if !errors.Is(err, want) {
+					t.Fatalf("PutReader = %v, want %v", err, want)
+				}
+				for _, p := range src.bufs {
+					for i := range p {
+						p[i] = 0xAA
+					}
+				}
+				if _, err := e.Head(context.Background(), "c", "k"); !errors.Is(err, ErrObjectNotFound) {
+					t.Fatalf("metadata committed despite failure: %v", err)
+				}
+				for _, s := range b.Registry().Snapshot() {
+					if n := s.(*cloud.BlobStore).ObjectCount(); n != 0 {
+						t.Fatalf("%s holds %d orphan chunks", s.Spec().Name, n)
+					}
+				}
+			})
+		}
+	}
+}

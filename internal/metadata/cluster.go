@@ -17,10 +17,14 @@ type replEvent struct {
 // served by the local node (eventual consistency), matching the paper's
 // Cassandra deployment.
 type Cluster struct {
-	mu     sync.Mutex
-	stores []*Store
-	queues map[string]map[string][]replEvent // src -> dst -> pending
-	links  map[string]map[string]bool        // src -> dst -> up
+	// flushMu serializes whole flushes, delivery included: a Flush
+	// returns only after every event queued before it was merged, even
+	// when a concurrent Flush had already dequeued them.
+	flushMu sync.Mutex
+	mu      sync.Mutex
+	stores  []*Store
+	queues  map[string]map[string][]replEvent // src -> dst -> pending
+	links   map[string]map[string]bool        // src -> dst -> up
 }
 
 // NewCluster builds a cluster over the given datacenter nodes; all
@@ -111,8 +115,11 @@ func (c *Cluster) Heal(a, b string) {
 }
 
 // Flush delivers every queued replication event whose link is up.
-// Returns the number of delivered events.
+// Returns the number of delivered events. Once it returns, every event
+// queued before the call has been merged at its (reachable) peer.
 func (c *Cluster) Flush() int {
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
 	c.mu.Lock()
 	type delivery struct {
 		src, dst string

@@ -378,3 +378,42 @@ func TestClusterConcurrentUse(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterFlushDeliversOwnWrite pins Flush's barrier contract under
+// concurrency: a writer that commits and then flushes must see its row
+// on every node once its Flush returns, even when a concurrent Flush
+// already dequeued the event and is still delivering it.
+func TestClusterFlushDeliversOwnWrite(t *testing.T) {
+	dcs := []*Store{NewStore("dc1"), NewStore("dc2"), NewStore("dc3")}
+	c := NewCluster(dcs...)
+	const writers, rounds = 8, 200
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			node := dcs[id%len(dcs)].Node()
+			for j := 0; j < rounds; j++ {
+				row := fmt.Sprintf("w%d-r%d", id, j)
+				uuid := fmt.Sprintf("u%d-%d", id, j)
+				if err := c.Put(node, row, ver(uuid, int64(j), nil)); err != nil {
+					errs <- err
+					return
+				}
+				c.Flush()
+				for _, s := range dcs {
+					if got, _, err := s.Get(row); err != nil || got.UUID != uuid {
+						errs <- fmt.Errorf("%s: row %s after Flush = %q, %v", s.Node(), row, got.UUID, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
